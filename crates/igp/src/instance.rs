@@ -1183,6 +1183,17 @@ impl Instance {
             })
             .map(|i| i.id)
             .collect();
+        if targets.is_empty() {
+            return;
+        }
+        // One encoding shared by every target: `Bytes` clones share
+        // storage, and the packet is the same on every interface.
+        let data = wire::encode(
+            &Packet::LsUpdate(LsUpdate {
+                lsas: vec![lsa.clone()],
+            }),
+            my_id,
+        );
         for t in targets {
             let n = self
                 .ifaces
@@ -1194,34 +1205,36 @@ impl Instance {
             }
             n.rxmt.insert(lsa.key, lsa.clone());
             self.stats.lsas_flooded += 1;
-            let pkt = Packet::LsUpdate(LsUpdate {
-                lsas: vec![lsa.clone()],
-            });
-            let data = wire::encode(&pkt, my_id);
-            self.push_send(t, data);
+            self.push_send(t, data.clone());
         }
     }
 
     /// Sweep MaxAge LSAs once no neighbor still owes an ack for them.
+    ///
+    /// Runs after every LSU, LSAck and timer poll, so it walks only the
+    /// LSDB's MaxAge index and returns at once when no purge is in
+    /// flight. Removal is in key order. The `originated` seq record of
+    /// a swept lie is kept, so a future re-injection continues above
+    /// the purged instance.
     fn try_sweep(&mut self) {
-        let pending: Vec<LsaKey> = self
-            .ifaces
-            .values()
-            .filter_map(|i| i.neighbor.as_ref())
-            .flat_map(|n| n.rxmt.keys().copied())
-            .collect();
+        if self.lsdb.max_age_keys().is_empty() {
+            return;
+        }
         let dead: Vec<LsaKey> = self
             .lsdb
+            .max_age_keys()
             .iter()
-            .filter(|l| l.is_max_age() && !pending.contains(&l.key))
-            .map(|l| l.key)
+            .filter(|k| {
+                !self
+                    .ifaces
+                    .values()
+                    .filter_map(|i| i.neighbor.as_ref())
+                    .any(|n| n.rxmt.contains_key(k))
+            })
+            .copied()
             .collect();
         for k in dead {
             self.lsdb.remove(&k);
-            if self.originated.contains_key(&k) {
-                // Keep the seq record so a future re-injection
-                // continues above the purged instance.
-            }
             self.schedule_spf_now();
         }
     }

@@ -3,16 +3,18 @@
 //! Every router (and the Fibbing controller) maintains an [`Lsdb`]: the
 //! set of freshest LSA instances it has heard. Installation follows the
 //! freshness rules of [`crate::lsa::compare_freshness`]; MaxAge
-//! instances linger only long enough to be flooded, then fall out via
-//! [`Lsdb::sweep`]. The database can materialize the augmented
+//! instances linger only long enough to be flooded and acknowledged,
+//! then the owning [`crate::instance::Instance`] removes them. The database
+//! indexes its MaxAge keys, so the sweep check costs nothing while
+//! no purge is in flight. The database can materialize the augmented
 //! [`Topology`] that SPF runs on, applying the two-way connectivity
 //! check to real links and trusting fake-node LSAs as complete
 //! descriptions of lies.
 
-use crate::lsa::{compare_freshness, Freshness, Lsa, LsaBody, LsaHeader, LsaKey, MAX_AGE};
+use crate::lsa::{compare_freshness, Freshness, Lsa, LsaBody, LsaHeader, LsaKey};
 use crate::topology::{FakeAttrs, Topology};
 use crate::types::RouterId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Outcome of trying to install an LSA instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +41,10 @@ pub struct DbVersion(pub u64);
 #[derive(Debug, Clone, Default)]
 pub struct Lsdb {
     entries: BTreeMap<LsaKey, Lsa>,
+    /// Keys of the MaxAge entries. Invariant: equal to the keys of
+    /// `entries.values().filter(is_max_age)`; only [`Lsdb::install`]
+    /// and [`Lsdb::remove`] change either side.
+    max_age: BTreeSet<LsaKey>,
     version: u64,
     real_version: u64,
 }
@@ -80,6 +86,11 @@ impl Lsdb {
         self.entries.is_empty()
     }
 
+    /// Keys of the stored MaxAge LSAs, in key order.
+    pub(crate) fn max_age_keys(&self) -> &BTreeSet<LsaKey> {
+        &self.max_age
+    }
+
     /// Look up the stored instance for a key.
     pub fn get(&self, key: &LsaKey) -> Option<&Lsa> {
         self.entries.get(key)
@@ -113,6 +124,11 @@ impl Lsdb {
             Some(stored) => match lsa.freshness_vs(stored) {
                 Freshness::Newer => {
                     let key = lsa.key;
+                    if lsa.is_max_age() {
+                        self.max_age.insert(key);
+                    } else {
+                        self.max_age.remove(&key);
+                    }
                     self.entries.insert(key, lsa);
                     self.bump(&key);
                     Install::Updated
@@ -123,61 +139,15 @@ impl Lsdb {
         }
     }
 
-    /// Remove MaxAge LSAs. Returns the purged headers. A real router
-    /// does this once the purge has been acked everywhere; the instance
-    /// layer calls it when retransmit lists drain.
-    pub fn sweep(&mut self) -> Vec<LsaHeader> {
-        let dead: Vec<LsaKey> = self
-            .entries
-            .iter()
-            .filter(|(_, l)| l.is_max_age())
-            .map(|(k, _)| *k)
-            .collect();
-        let mut headers = Vec::with_capacity(dead.len());
-        for k in dead {
-            if let Some(l) = self.entries.remove(&k) {
-                headers.push(l.header());
-                self.bump(&k);
-            }
-        }
-        headers
-    }
-
-    /// Remove one LSA by key regardless of age (used when the
-    /// originator re-learns a self-originated LSA it no longer wants).
+    /// Remove one LSA by key regardless of age (used to sweep a MaxAge
+    /// LSA once no neighbor still owes an acknowledgement for it).
     pub fn remove(&mut self, key: &LsaKey) -> Option<Lsa> {
         let removed = self.entries.remove(key);
         if removed.is_some() {
+            self.max_age.remove(key);
             self.bump(key);
         }
         removed
-    }
-
-    /// Advance every LSA's age by `secs`, clamping at MaxAge. Returns
-    /// keys of self-expired LSAs that just hit MaxAge (so the caller can
-    /// flood the purge).
-    pub fn age_all(&mut self, secs: u16) -> Vec<LsaKey> {
-        let mut expired = Vec::new();
-        for (k, l) in self.entries.iter_mut() {
-            if l.age >= MAX_AGE {
-                continue;
-            }
-            let new_age = l.age.saturating_add(secs).min(MAX_AGE);
-            if new_age == MAX_AGE {
-                expired.push(*k);
-            }
-            l.age = new_age;
-        }
-        if !expired.is_empty() {
-            self.version += 1;
-            if expired
-                .iter()
-                .any(|k| k.kind == crate::lsa::LsaKind::Router)
-            {
-                self.real_version += 1;
-            }
-        }
-        expired
     }
 
     /// Iterate over all stored LSAs in key order.
@@ -293,8 +263,9 @@ impl Lsdb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lsa::{LsaKind, LsaLink};
+    use crate::lsa::{LsaKind, LsaLink, MAX_AGE};
     use crate::types::{FwAddr, Metric, Prefix, SeqNum};
+    use proptest::prelude::*;
 
     fn router_lsa(origin: u32, seq: i32, neighbors: &[(u32, u32)]) -> Lsa {
         Lsa::router(
@@ -331,37 +302,67 @@ mod tests {
         assert!(db.is_empty());
     }
 
-    #[test]
-    fn sweep_removes_max_age() {
-        let mut db = Lsdb::new();
-        db.install(router_lsa(1, 1, &[]));
-        db.install(router_lsa(2, 1, &[]));
-        let purge = db
-            .get(&LsaKey {
-                origin: RouterId(1),
-                kind: LsaKind::Router,
-                id: 0,
-            })
-            .unwrap()
-            .to_purge();
-        assert_eq!(db.install(purge), Install::Updated);
-        let swept = db.sweep();
-        assert_eq!(swept.len(), 1);
-        assert_eq!(swept[0].key.origin, RouterId(1));
-        assert_eq!(db.len(), 1);
+    fn router_key(origin: u32) -> LsaKey {
+        LsaKey {
+            origin: RouterId(origin),
+            kind: LsaKind::Router,
+            id: 0,
+        }
     }
 
-    #[test]
-    fn aging_expires_lsas() {
-        let mut db = Lsdb::new();
-        db.install(router_lsa(1, 1, &[]));
-        let expired = db.age_all(MAX_AGE - 1);
-        assert!(expired.is_empty());
-        let expired = db.age_all(5);
-        assert_eq!(expired.len(), 1);
-        assert!(db.get(&expired[0]).unwrap().is_max_age());
-        // Aging an already-MaxAge LSA does not re-report it.
-        assert!(db.age_all(5).is_empty());
+    /// The MaxAge index equals a scan of the stored entries.
+    fn scanned_max_age(db: &Lsdb) -> BTreeSet<LsaKey> {
+        db.iter()
+            .filter(|l| l.is_max_age())
+            .map(|l| l.key)
+            .collect()
+    }
+
+    /// One step of an install/remove sequence: `None` removes the key
+    /// of `origin`, `Some(max_age)` installs a router LSA of `origin` at
+    /// `seq`, as a purge when `max_age`.
+    type Step = (u32, i32, Option<bool>);
+
+    fn apply(db: &mut Lsdb, (origin, seq, op): Step) {
+        match op {
+            None => {
+                db.remove(&router_key(origin));
+            }
+            Some(max_age) => {
+                let mut l = router_lsa(origin, seq, &[]);
+                if max_age {
+                    l.age = MAX_AGE;
+                }
+                db.install(l);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn max_age_index_tracks_installs_and_removes(
+            steps in prop::collection::vec(
+                (1u32..5, 1i32..5, prop::option::of(any::<bool>())),
+                0..40,
+            )
+        ) {
+            // Fixed prefix: a MaxAge copy replaces a live LSA (same
+            // seq, so only the age makes it fresher), then a live LSA
+            // replaces the MaxAge one (higher seq).
+            let fixed: [Step; 3] = [(1, 1, Some(false)), (1, 1, Some(true)), (1, 2, Some(false))];
+            let mut db = Lsdb::new();
+            for (i, &step) in fixed.iter().chain(&steps).enumerate() {
+                apply(&mut db, step);
+                prop_assert_eq!(db.max_age_keys(), &scanned_max_age(&db));
+                if i == 1 {
+                    prop_assert!(db.max_age_keys().contains(&router_key(1)));
+                }
+                if i == 2 {
+                    prop_assert!(db.max_age_keys().is_empty());
+                    prop_assert_eq!(db.len(), 1);
+                }
+            }
+        }
     }
 
     #[test]

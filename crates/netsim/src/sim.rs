@@ -259,7 +259,10 @@ pub(crate) struct Core {
     // plus the key-ordered index for lookups and stable iteration.
     pub(crate) link_recs: Vec<LinkRec>,
     pub(crate) link_idx: BTreeMap<LinkKey, u32>,
-    pub(crate) iface_to_link: BTreeMap<(RouterId, IfaceId), u32>,
+    /// Directed link each interface transmits on, indexed
+    /// `[router slot][iface]` (interface ids are dense per router, so
+    /// a row's length is the router's next interface id).
+    pub(crate) iface_links: Vec<Vec<u32>>,
     pub(crate) prefix_owners: Vec<(Prefix, RouterId)>,
     // Flow arena indexed by `FlowId.0` (ids are dense, counter-issued).
     pub(crate) flow_recs: Vec<Option<Flow>>,
@@ -320,7 +323,7 @@ impl Core {
             touched: BTreeSet::new(),
             link_recs: Vec::new(),
             link_idx: BTreeMap::new(),
-            iface_to_link: BTreeMap::new(),
+            iface_links: Vec::new(),
             prefix_owners: Vec::new(),
             flow_recs: Vec::new(),
             live_flows: 0,
@@ -362,13 +365,26 @@ impl Core {
         }
     }
 
-    fn next_iface(&self, r: RouterId) -> IfaceId {
-        let n = self
-            .iface_to_link
-            .keys()
-            .filter(|(rid, _)| *rid == r)
-            .count();
-        IfaceId(n as u16)
+    /// The link `iface` of the router in `slot` transmits on.
+    fn iface_link(&self, slot: u32, iface: IfaceId) -> Option<u32> {
+        self.iface_links[slot as usize]
+            .get(usize::from(iface.0))
+            .copied()
+    }
+
+    /// Register the next interface of the router in `slot` as
+    /// transmitting on link `ix`; returns its id.
+    fn push_iface(&mut self, slot: u32, ix: u32) -> IfaceId {
+        let row = &mut self.iface_links[slot as usize];
+        let iface = IfaceId(u16::try_from(row.len()).expect("at most 65536 interfaces per router"));
+        row.push(ix);
+        iface
+    }
+
+    /// The interface on `from` transmitting toward `to`, if linked.
+    pub(crate) fn tx_iface(&self, from: RouterId, to: RouterId) -> Option<IfaceId> {
+        let ix = *self.link_idx.get(&LinkKey::new(from, to))?;
+        Some(self.link_recs[ix as usize].tx_iface)
     }
 
     pub(crate) fn add_router_inner(&mut self, id: RouterId, compute_routes: bool) {
@@ -387,23 +403,28 @@ impl Core {
         self.instances.push(Instance::new(cfg));
         self.agents.push(Agent::new(format!("{id}")));
         self.fibs.insert(id, Fib::new());
+        self.iface_links.push(Vec::new());
         let heap_slot = self.deadlines.push_slot();
         debug_assert_eq!(heap_slot, slot);
     }
 
     pub(crate) fn add_link_inner(&mut self, spec: LinkSpec) {
-        let ia = self.next_iface(spec.a);
-        // Register a's iface before computing b's (self-loops are not
-        // supported; asserted here).
         assert_ne!(spec.a, spec.b, "self-loop links are not supported");
         let a_slot = *self.router_slot.get(&spec.a).expect("add routers first");
         let b_slot = *self.router_slot.get(&spec.b).expect("add routers first");
         let kab = LinkKey::new(spec.a, spec.b);
+        // `link_idx` (and through it carrier detect and ifIndex lookup)
+        // names a direction by its endpoints alone.
+        assert!(
+            !self.link_idx.contains_key(&kab),
+            "parallel links {} - {} are not supported",
+            spec.a,
+            spec.b
+        );
         let ix_ab = self.link_recs.len() as u32;
-        self.iface_to_link.insert((spec.a, ia), ix_ab);
-        let ib = self.next_iface(spec.b);
+        let ia = self.push_iface(a_slot, ix_ab);
         let kba = LinkKey::new(spec.b, spec.a);
-        self.iface_to_link.insert((spec.b, ib), ix_ab + 1);
+        let ib = self.push_iface(b_slot, ix_ab + 1);
 
         self.instances[a_slot as usize].add_iface(ia, spec.cost);
         self.instances[b_slot as usize].add_iface(ib, spec.cost);
@@ -506,9 +527,8 @@ impl Core {
                 data,
             } => {
                 let len = data.len() as u64;
-                let to = self.router_ids[to_slot as usize];
                 // Account received control bytes; drop on a down link.
-                if let Some(&ix) = self.iface_to_link.get(&(to, iface)) {
+                if let Some(ix) = self.iface_link(to_slot, iface) {
                     let rx = (ix ^ 1) as usize;
                     if !self.link_recs[rx].state.up {
                         self.stats.ctrl_dropped += 1;
@@ -677,13 +697,7 @@ impl Core {
         if found && self.cfg.carrier_detect {
             let pairs = [(a, b), (b, a)];
             for (r, peer) in pairs {
-                let iface = self
-                    .iface_to_link
-                    .iter()
-                    .find(|((rid, _), &ix)| {
-                        *rid == r && self.link_recs[ix as usize].state.key.to == peer
-                    })
-                    .map(|((_, i), _)| *i);
+                let iface = self.tx_iface(r, peer);
                 if let (Some(iface), Some(&slot)) = (iface, self.router_slot.get(&r)) {
                     let now = self.now;
                     let _ = self.instances[slot as usize].set_iface_enabled(iface, up, now);
@@ -764,8 +778,7 @@ impl Core {
             }
         }
         for (from_slot, iface, data) in sends {
-            let from = self.router_ids[from_slot as usize];
-            let Some(&ix) = self.iface_to_link.get(&(from, iface)) else {
+            let Some(ix) = self.iface_link(from_slot, iface) else {
                 self.stats.ctrl_dropped += 1;
                 continue;
             };

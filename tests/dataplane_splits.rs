@@ -107,4 +107,23 @@ fn retraction_restores_natural_forwarding() {
     sim.run_until(Timestamp::from_secs(25));
     let hops = sim.ctx().fib_nexthops(B, BLUE);
     assert_eq!(hops, vec![FwAddr::primary(R2)], "natural state restored");
+
+    // The purge was swept everywhere and the speakers' databases agree
+    // after quiescence.
+    let fake_key = LsaKey {
+        origin: fake,
+        kind: LsaKind::Fake,
+        id: 0,
+    };
+    let speakers = [A, B, R1, R2, R3, R4, C, RouterId(100)];
+    let reference = sim.instance(A).unwrap().lsdb().headers();
+    for r in speakers {
+        let lsdb = sim.instance(r).unwrap().lsdb();
+        assert!(lsdb.get(&fake_key).is_none(), "{r} still holds the lie");
+        assert!(
+            lsdb.iter().all(|l| !l.is_max_age()),
+            "{r} holds an unswept MaxAge LSA"
+        );
+        assert_eq!(lsdb.headers(), reference, "{r}'s LSDB disagrees with {A}'s");
+    }
 }
